@@ -43,8 +43,8 @@ from .ecg_solver import (
     CoulombSystem,
     StabilityContradictionError,
     mass_ratio_scan,
+    probe_from_growth,
     save_basis,
-    stability_probe,
     svm_grow,
 )
 from .effpot import InteractionDecomposition, veff
@@ -158,7 +158,12 @@ def _load_env_config() -> dict:
 
 
 def _build_config(args: argparse.Namespace, natural_format: str) -> RunConfig:
+    """Layer, lowest first: RunConfig, the command's built-in defaults
+    (_default_seed / _default_budget), the config file, the flags."""
     cfg = RunConfig(fmt=natural_format)
+    for key in ("seed", "budget"):
+        if hasattr(args, f"_default_{key}"):
+            cfg = replace(cfg, **{key: getattr(args, f"_default_{key}")})
     env = _load_env_config()
     picks = {}
     for key, caster in (("seed", int), ("tol", float), ("budget", int), ("cond_cap", float), ("format", str)):
@@ -346,13 +351,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     cfg = _build_config(args, "json")
     system4 = read_system_file(args.system)
     system = CoulombSystem(system4.masses, FourBodySystem.CHARGES)
-    probe = stability_probe(
-        system, target=cfg.budget, seed=cfg.seed, pool=args.pool, cond_cap=cfg.cond_cap
-    )
+    elements, result = svm_grow(system, cfg.budget, seed=cfg.seed, pool=args.pool, cond_cap=cfg.cond_cap)
+    probe = probe_from_growth(system, result)
     if args.save_basis:
-        elements, result = svm_grow(
-            system, cfg.budget, seed=cfg.seed, pool=args.pool, cond_cap=cfg.cond_cap
-        )
         save_basis(args.save_basis, system, elements, result)
     doc = {
         "command": "solve",
@@ -463,10 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "_default_seed"):
-        args.seed = args._default_seed
-    if getattr(args, "budget", None) is None and hasattr(args, "_default_budget"):
-        args.budget = args._default_budget
     try:
         return args.func(args)
     except SystemFileError as exc:

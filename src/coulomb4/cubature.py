@@ -9,8 +9,10 @@ exactly instead:
   * outer coordinates (r, u = cos theta) carry an adaptive partition with
     embedded Gauss-Legendre 7x7 / 5x5 panels,
   * at every outer node the azimuthal negative set {phi : W < 0} is located
-    by a dense sign scan plus vectorised bisection (roots to ~1e-14), and
-    -W q is integrated over it with error-driven panel refinement.
+    by a dense sign scan plus batched Illinois steps on each sign-changing
+    scan interval (regula falsi with the stale endpoint's value halved,
+    falling back to the midpoint; roots to ~1e-14), and -W q is integrated
+    over it with error-driven panel refinement.
 
 Root positions vary continuously with (r, u), so the per-node result J(r, u)
 is smooth wherever the exact one is, and the outer high-order rule converges
@@ -39,7 +41,13 @@ _GL2_X, _GL2_W = np.polynomial.legendre.leggauss(2)
 
 _TWO_PI = 2.0 * math.pi
 _N_SCAN = 192
-_N_BISECT = 44
+_SCAN_PHI = _TWO_PI * np.arange(_N_SCAN) / _N_SCAN
+_SCAN_COS = np.cos(_SCAN_PHI)
+_SCAN_SIN = np.sin(_SCAN_PHI)
+# root refinement stops at the width 44 bisection steps leave of a scan
+# interval, or after 44 steps, whichever comes first
+_MAX_ROOT_STEPS = 44
+_ROOT_WIDTH = (_TWO_PI / _N_SCAN) * 2.0 ** -_MAX_ROOT_STEPS
 _MIN_PHI_PANEL = 1e-11
 _MAX_INNER_ROUNDS = 64
 
@@ -87,8 +95,9 @@ class _AzimuthalIntegrator:
     """Vectorised phi-integration of q * max(0, -W) over batches of circles.
 
     All nodes of an outer evaluation batch are processed together, so every
-    scan, bisection step, and refinement round costs one batched call of the
-    integrand.
+    scan, root-refinement step, and panel round costs one batched call of
+    the integrand.  The integrand receives points of shape (..., 3) and
+    radii that broadcast against their leading shape.
     """
 
     def __init__(self, signed_and_weight, basis, forced_phis, inner_rel):
@@ -97,47 +106,94 @@ class _AzimuthalIntegrator:
         self.forced = sorted({p % _TWO_PI for p in forced_phis})
         self.inner_rel = inner_rel
 
-    def _points(self, r, s, u, phi):
-        cx = (r * s) * np.cos(phi)
-        cy = (r * s) * np.sin(phi)
-        cz = r * u
-        return cx[..., None] * self.e1 + cy[..., None] * self.e2 + cz[..., None] * self.e3
+    def _points(self, r, s, u, cos_phi, sin_phi):
+        """Points r (s cos phi e1 + s sin phi e2 + u e3), shape (..., 3).
 
-    def _signed(self, r, s, u, phi):
-        pts = self._points(r, s, u, phi)
-        g, _ = self.f(pts.reshape(-1, 3), np.broadcast_to(r, phi.shape).reshape(-1))
-        return g.reshape(phi.shape)
+        Filled one Cartesian component at a time into a (3, ...) buffer;
+        the returned array is a view of it.
+        """
+        cx = (r * s) * cos_phi
+        cy = (r * s) * sin_phi
+        cz = r * u
+        out = np.empty((3,) + np.broadcast_shapes(cx.shape, cy.shape, np.shape(cz)))
+        for k in range(3):
+            comp = out[k]
+            np.multiply(cx, self.e1[k], out=comp)
+            comp += cy * self.e2[k]
+            comp += cz * self.e3[k]
+        return np.moveaxis(out, 0, -1)
+
+    def _signed(self, r, s, u, cos_phi, sin_phi):
+        g, _ = self.f(self._points(r, s, u, cos_phi, sin_phi), r)
+        return g
+
+    def _refine_roots(self, r, s, u, lo, hi, g_lo, g_hi):
+        """Roots of g in the sign-changing brackets [lo, hi], by Illinois steps.
+
+        g_lo and g_hi are the values already known at the bracket ends.  Each
+        step evaluates g at the regula falsi point of every open bracket;
+        when the same end moves twice in a row, the value kept at the other
+        end is halved (the Illinois rule).  The point is kept at least half
+        of _ROOT_WIDTH from both ends, so a bracket whose root sits at one
+        end closes in one more step, and a point that is not finite becomes
+        the midpoint.  The end whose sign the new value shares moves, so
+        every bracket keeps its sign change; a value of exactly zero closes
+        the bracket on its point.  A bracket closes once it is at most
+        _ROOT_WIDTH wide, and all close after _MAX_ROOT_STEPS steps.
+        Returns the bracket midpoints and the number of evaluations.
+        """
+        lo, hi = lo.copy(), hi.copy()
+        g_lo, g_hi = g_lo.copy(), g_hi.copy()
+        neg_lo = g_lo < 0.0
+        moved = np.zeros(len(lo), dtype=np.int8)  # end moved last: -1 lo, +1 hi
+        active = np.nonzero(hi - lo > _ROOT_WIDTH)[0]
+        n_evals = 0
+        for _ in range(_MAX_ROOT_STEPS):
+            if not len(active):
+                break
+            a_lo, a_hi, ga, gb = lo[active], hi[active], g_lo[active], g_hi[active]
+            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                x = a_hi - gb * (a_hi - a_lo) / (gb - ga)
+            x = np.clip(x, a_lo + 0.5 * _ROOT_WIDTH, a_hi - 0.5 * _ROOT_WIDTH)
+            x = np.where((x > a_lo) & (x < a_hi), x, 0.5 * (a_lo + a_hi))
+            gx = self._signed(r[active], s[active], u[active], np.cos(x), np.sin(x))
+            n_evals += len(x)
+            to_lo = (gx < 0.0) == neg_lo[active]
+            exact = gx == 0.0  # a root to rounding: close the bracket on it
+            last = moved[active]
+            lo[active] = np.where(to_lo | exact, x, a_lo)
+            hi[active] = np.where(to_lo & ~exact, a_hi, x)
+            g_lo[active] = np.where(to_lo, gx, np.where(last == 1, 0.5 * ga, ga))
+            g_hi[active] = np.where(to_lo, np.where(last == -1, 0.5 * gb, gb), gx)
+            moved[active] = np.where(to_lo, -1, 1)
+            active = active[hi[active] - lo[active] > _ROOT_WIDTH]
+        return 0.5 * (lo + hi), n_evals
 
     def integrate(self, r_nodes: np.ndarray, u_nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         n_nodes = len(r_nodes)
         s_nodes = np.sqrt(np.maximum(0.0, 1.0 - u_nodes * u_nodes))
         n_evals = 0
 
-        # -- locate the negative set by scan + bisection ------------------
-        scan = _TWO_PI * np.arange(_N_SCAN) / _N_SCAN
-        phis = np.broadcast_to(scan, (n_nodes, _N_SCAN))
-        g = self._signed(r_nodes[:, None], s_nodes[:, None], u_nodes[:, None], phis)
+        # -- locate the negative set by scan + root refinement -------------
+        g = self._signed(r_nodes[:, None], s_nodes[:, None], u_nodes[:, None], _SCAN_COS, _SCAN_SIN)
         n_evals += g.size
         neg = g < 0.0
         flips = neg != np.roll(neg, -1, axis=1)
         node_f, k_f = np.nonzero(flips)  # root between sample k and k+1 (mod N)
+        k_next = (k_f + 1) % _N_SCAN
 
-        lo = scan[k_f]
-        hi = lo + _TWO_PI / _N_SCAN
-        sign_lo = neg[node_f, k_f]
-        rb = r_nodes[node_f]
-        sb = s_nodes[node_f]
-        ub = u_nodes[node_f]
-        for _ in range(_N_BISECT):
-            mid = 0.5 * (lo + hi)
-            gm = self._signed(rb, sb, ub, mid)
-            n_evals += mid.size
-            neg_mid = gm < 0.0
-            same = neg_mid == sign_lo
-            lo = np.where(same, mid, lo)
-            hi = np.where(same, hi, mid)
-        roots = 0.5 * (lo + hi)
-        is_start = neg[node_f, (k_f + 1) % _N_SCAN]  # entering the negative set
+        lo = _SCAN_PHI[k_f]
+        roots, n_root = self._refine_roots(
+            r_nodes[node_f],
+            s_nodes[node_f],
+            u_nodes[node_f],
+            lo,
+            lo + _TWO_PI / _N_SCAN,
+            g[node_f, k_f],
+            g[node_f, k_next],
+        )
+        n_evals += n_root
+        is_start = neg[node_f, k_next]  # entering the negative set
 
         # -- assemble negative intervals per node -------------------------
         starts_list: list[np.ndarray] = []
@@ -193,7 +249,7 @@ class _AzimuthalIntegrator:
 
         n_base = np.maximum(1, np.ceil((int_hi - int_lo) / 0.6).astype(int))
         node_id = np.repeat(int_node, n_base)
-        seg = np.concatenate([np.arange(k) for k in n_base]) if len(n_base) else np.array([], dtype=int)
+        seg = np.arange(n_base.sum()) - np.repeat(np.cumsum(n_base) - n_base, n_base)
         width = np.repeat((int_hi - int_lo) / n_base, n_base)
         lo = np.repeat(int_lo, n_base) + seg * width
         hi = lo + width
@@ -206,13 +262,12 @@ class _AzimuthalIntegrator:
             half = 0.5 * (hi - lo)
             mid = 0.5 * (hi + lo)
             phis = mid[:, None] + half[:, None] * np.concatenate([_GL3_X, _GL2_X])
-            rr = r_nodes[node_id]
-            ss = s_nodes[node_id]
-            uu = u_nodes[node_id]
-            pts = self._points(rr[:, None], ss[:, None], uu[:, None], phis)
-            gvals, qvals = self.f(pts.reshape(-1, 3), np.broadcast_to(rr[:, None], phis.shape).reshape(-1))
+            rr = r_nodes[node_id][:, None]
+            ss = s_nodes[node_id][:, None]
+            uu = u_nodes[node_id][:, None]
+            gvals, qvals = self.f(self._points(rr, ss, uu, np.cos(phis), np.sin(phis)), rr)
             n_evals += phis.size
-            prod = (-gvals * qvals).reshape(phis.shape)
+            prod = -gvals * qvals
             i3 = (prod[:, :3] @ _GL3_W) * half
             i2 = (prod[:, 3:] @ _GL2_W) * half
             err = np.abs(i3 - i2)
@@ -252,9 +307,11 @@ def negative_part_average(
     signed_and_weight(points, radii) must return the pair (W values,
     q values) where q already contains the full radial measure weight, so
     the integral computed is  int dr du dphi  q * max(0, -W)  with the r^2
-    Jacobian folded into q.  singular_points are Cartesian singular
-    locations of W relative to the expansion origin; extra_radii adds
-    radial partition edges (e.g. kink radii of the repulsive terms).
+    Jacobian folded into q.  points has shape (..., 3); radii broadcasts
+    against its leading shape (one radius per circle), and so may q.
+    singular_points are Cartesian singular locations of W relative to the
+    expansion origin; extra_radii adds radial partition edges (e.g. kink
+    radii of the repulsive terms).
     """
     pts = [np.asarray(p, dtype=float) for p in singular_points]
     pts = [p for p in pts if np.linalg.norm(p) < r_max]

@@ -47,6 +47,7 @@ __all__ = [
     "generalized_lowest",
     "svm_grow",
     "stability_probe",
+    "probe_from_growth",
     "mass_ratio_scan",
     "save_basis",
     "load_basis",
@@ -488,6 +489,37 @@ class ProbeResult:
     verdict: Verdict | None
 
 
+def probe_from_growth(system: CoulombSystem, result: SpectralResult) -> ProbeResult:
+    """Test a grown basis's spectrum for a certified bound state below threshold.
+
+    certified_bound is True only when E0 < E_th - eps with eps well above
+    the worst eigenvalue error at the condition cap, so a certificate is
+    trustworthy.  For four-body systems the closed-form classification is
+    consulted: a certificate on a proven-unstable system raises
+    StabilityContradictionError, because one of the two routes must be
+    wrong.
+    """
+    eps = certification_margin(result.threshold)
+    certified = bool(result.e0 < result.threshold - eps)
+    verdict = None
+    if system.n == 4:
+        verdict = classify(FourBodySystem(*system.masses))
+        if certified and verdict.classification is Classification.PROVEN_UNSTABLE:
+            raise StabilityContradictionError(
+                f"solver certified E0 = {result.e0:.9f} < threshold {result.threshold:.9f} - {eps:.1e} "
+                "for a system the mass criterion proves unstable"
+            )
+    return ProbeResult(
+        e0=result.e0,
+        threshold=result.threshold,
+        certified_bound=certified,
+        margin=result.margin,
+        epsilon=eps,
+        basis_size=result.basis_size,
+        verdict=verdict,
+    )
+
+
 def stability_probe(
     system: CoulombSystem,
     target: int = 200,
@@ -497,33 +529,11 @@ def stability_probe(
 ) -> ProbeResult:
     """Run the solver and test for a certified bound state below threshold.
 
-    certified_bound is True only when E0 < E_th - eps with eps well above
-    the worst eigenvalue error at the condition cap, so a certificate is
-    trustworthy.  For four-body systems the closed-form classification is
-    consulted: a certificate on a proven-unstable system raises
-    StabilityContradictionError, because one of the two routes must be
-    wrong.
+    Grows a basis with svm_grow and passes its spectrum to
+    probe_from_growth.
     """
-    elements, res = svm_grow(system, target, seed=seed, pool=pool, cond_cap=cond_cap)
-    eps = certification_margin(res.threshold)
-    certified = bool(res.e0 < res.threshold - eps)
-    verdict = None
-    if system.n == 4:
-        verdict = classify(FourBodySystem(*system.masses))
-        if certified and verdict.classification is Classification.PROVEN_UNSTABLE:
-            raise StabilityContradictionError(
-                f"solver certified E0 = {res.e0:.9f} < threshold {res.threshold:.9f} - {eps:.1e} "
-                "for a system the mass criterion proves unstable"
-            )
-    return ProbeResult(
-        e0=res.e0,
-        threshold=res.threshold,
-        certified_bound=certified,
-        margin=res.margin,
-        epsilon=eps,
-        basis_size=res.basis_size,
-        verdict=verdict,
-    )
+    _, result = svm_grow(system, target, seed=seed, pool=pool, cond_cap=cond_cap)
+    return probe_from_growth(system, result)
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,22 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.asarray(v, dtype=float) ** 2, axis=-1))
 
 
+def _inverse_distance(x, y, R, alpha: float, beta: float) -> np.ndarray:
+    """1 / |alpha x + R + beta y|, broadcast over the leading axes.
+
+    The squared norm is accumulated one Cartesian component at a time, so
+    no (..., 3) temporaries are formed; each component is rounded exactly
+    as the vector expression R + alpha x + beta y in distances is.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    R = np.asarray(R, dtype=float)
+    c0 = alpha * x[..., 0] + R[..., 0] + beta * y[..., 0]
+    c1 = alpha * x[..., 1] + R[..., 1] + beta * y[..., 1]
+    c2 = alpha * x[..., 2] + R[..., 2] + beta * y[..., 2]
+    return 1.0 / np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+
+
 @dataclass(frozen=True)
 class InteractionDecomposition:
     """Cross-pair Coulomb terms for internal weights a (tight pair) and b.
@@ -96,10 +112,9 @@ class InteractionDecomposition:
         d23 = |R - (1-a) x - b y|    (-)
         d24 = |R - (1-a) x + (1-b) y|(+)
 
-    W = sum of signed terms; W1 groups the pair {13, 14} sharing the
-    centre c = R + (1-b) y... see w1/w2 for the exact grouping used by the
-    split bounds: W1 collects the two terms singular on the c-sphere
-    family and W2 the remaining two.
+    W = 1/d13 + 1/d24 - 1/d14 - 1/d23.  The split bounds group the terms
+    by their common y-offset: W1 = 1/d24 - 1/d14 shares the centre
+    c = R + (1-b) y, and W2 = 1/d13 - 1/d23 shares the centre d = R - b y.
     """
 
     a: float
@@ -129,18 +144,23 @@ class InteractionDecomposition:
         }
 
     def w(self, x, y, R) -> np.ndarray:
-        d = self.distances(x, y, R)
-        return 1.0 / d[(1, 3)] + 1.0 / d[(2, 4)] - 1.0 / d[(1, 4)] - 1.0 / d[(2, 3)]
+        a, b = self.a, self.b
+        return (
+            _inverse_distance(x, y, R, a, -b)
+            + _inverse_distance(x, y, R, a - 1.0, 1.0 - b)
+            - _inverse_distance(x, y, R, a, 1.0 - b)
+            - _inverse_distance(x, y, R, a - 1.0, -b)
+        )
 
     def w1(self, x, y, R) -> np.ndarray:
         """Terms with y-offset (1-b): repulsive 24 against attractive 14."""
-        d = self.distances(x, y, R)
-        return 1.0 / d[(2, 4)] - 1.0 / d[(1, 4)]
+        a, b = self.a, self.b
+        return _inverse_distance(x, y, R, a - 1.0, 1.0 - b) - _inverse_distance(x, y, R, a, 1.0 - b)
 
     def w2(self, x, y, R) -> np.ndarray:
         """Terms with y-offset -b: repulsive 13 against attractive 23."""
-        d = self.distances(x, y, R)
-        return 1.0 / d[(1, 3)] - 1.0 / d[(2, 3)]
+        a, b = self.a, self.b
+        return _inverse_distance(x, y, R, a, -b) - _inverse_distance(x, y, R, a - 1.0, -b)
 
     # -- geometric anchors ----------------------------------------------
     def centre_first(self, y, R) -> np.ndarray:
@@ -184,11 +204,9 @@ def pair_distance_oracle(masses: Sequence[float], x, y, R) -> dict:
 # ---------------------------------------------------------------------------
 # Screened potential of one split group: closed angular reduction.
 #
-# For the W1 group both distances share the offset c = R + (1-b) y:
-#   |c + a x| (attractive 14 after sign bookkeeping) and |c - (1-a) x|.
-# Wait: group members are d24 = |c - (1-a) x| (repulsive) and
-# d14 = |c + a x| (attractive).  Averaging -(W1) over the isotropic density
-# and keeping the positive part gives, with c = |c|,
+# The W1 group pairs the repulsive d24 = |c - (1-a) x| with the attractive
+# d14 = |c + a x|, both offset by c = R + (1-b) y.  Averaging the negative
+# part of W1 over the isotropic density gives, with c = |c|,
 #
 #   V1(c, a) = 16 Int_0^inf r^2 e^{-4 r} I(r, c, a) dr,
 #

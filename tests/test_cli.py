@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from coulomb4 import cli, ecg_solver
 from coulomb4.ecg_solver import load_basis
 
 M_P = "1836.152672"
@@ -244,6 +245,42 @@ def test_env_config_is_honored(tmp_path, ps2_file):
         env_extra={"COULOMB4_CONFIG": str(conf)},
     )
     assert any("seed=2" in l for l in over.stdout.splitlines() if l.startswith("#"))
+
+
+def test_env_config_overrides_command_defaults(tmp_path, ps2_file):
+    # solve defaults to seed 42 and map to budget 120; the config file wins
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"seed": 7, "budget": 30}))
+    env = {"COULOMB4_CONFIG": str(conf)}
+    proc = run_cli("solve", "--system", ps2_file, env_extra=env)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["config"]["seed"] == 7
+    assert doc["config"]["budget"] == 30
+    assert doc["basis_size"] == 30
+    proc = run_cli("map", "--m-grid", "1", env_extra=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "# seed=7 budget=30 pool=48" in proc.stdout.splitlines()
+
+
+def test_solve_save_basis_grows_once(ps2_file, tmp_path, monkeypatch, capsys):
+    calls = []
+    grow = ecg_solver.svm_grow
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return grow(*args, **kwargs)
+
+    monkeypatch.setattr(ecg_solver, "svm_grow", counting)
+    monkeypatch.setattr(cli, "svm_grow", counting)
+    monkeypatch.delenv("COULOMB4_CONFIG", raising=False)
+    argv = ["solve", "--system", ps2_file, "--budget", "15", "--seed", "3"]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr().out
+    calls.clear()
+    assert cli.main(argv + ["--save-basis", str(tmp_path / "basis.json")]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == plain
 
 
 def test_env_config_missing_file(ps2_file):

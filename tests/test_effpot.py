@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from coulomb4 import cubature
 from coulomb4.cubature import QuadratureError
 from coulomb4.effpot import (
     GroundPairDensity,
@@ -38,6 +39,26 @@ def test_distances_match_position_reconstruction():
         want = pair_distance_oracle(m, x, y, R)
         for pair in PAIRS:
             assert got[pair] == pytest.approx(want[pair], rel=1e-12, abs=1e-15)
+
+
+def _oracle_w(masses, x, y, R):
+    d = pair_distance_oracle(masses, x, y, R)
+    return 1.0 / d[(1, 3)] + 1.0 / d[(2, 4)] - 1.0 / d[(1, 4)] - 1.0 / d[(2, 3)]
+
+
+def test_w_kernel_matches_position_reconstruction():
+    # the cubature varies x (veff) or R (floor audit) over a point batch
+    rng = np.random.default_rng(124)
+    for _ in range(200):
+        m = 10.0 ** rng.uniform(-1.5, 3.0, size=4)
+        decomp = InteractionDecomposition(m[1] / (m[0] + m[1]), m[3] / (m[2] + m[3]))
+        x, y, R = rng.normal(0.0, 2.0, size=(3, 3))
+        batch = rng.normal(0.0, 2.0, size=(50, 3))
+        for args in ((batch, y, R), (x, y, batch), (x, y, R)):
+            got = decomp.w(*args)
+            want = _oracle_w(m, *args)
+            assert np.shape(got) == np.shape(want)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_collapsed_pairs_geometry():
@@ -172,6 +193,80 @@ def test_total_average_within_split_sum():
         assert total.value >= -1e-12
         checked += 1
     assert checked == 1000
+
+
+# veff(total, rel_tol=0.05) before the W kernel, point layout and root
+# finder were rewritten: (a, b, y, R, value, error, scan + panel
+# evaluations).  The last six put y parallel to R, so W does not depend on
+# the azimuth and no root is refined.
+PINNED_TOTAL_AVERAGES = (
+    (0.833, 0.171, (-0.606, 0.44, 0.401), (-1.488, 1.889, -1.243), 0.009747384219164476, 1.5897500448459973e-06, 876375),
+    (0.946, 0.402, (-1.086, 0.538, 1.203), (1.721, 0.293, -0.668), 0.08719399823653967, 0.0007855600170239452, 527803),
+    (0.373, 0.716, (-2.328, 0.533, 0.854), (-0.416, 0.053, 2.031), 0.04841242912044976, 3.861681698306475e-05, 836930),
+    (0.876, 0.481, (-0.689, 1.711, -1.093), (3.313, 0.984, -0.795), 0.00809273148016312, 4.862392830426696e-06, 830500),
+    (0.214, 0.545, (0.237, -0.305, 0.418), (-1.309, -3.484, -1.752), 0.0015443509688677502, 2.677217697259172e-07, 813690),
+    (0.21, 0.902, (0.456, -0.344, 0.319), (0.507, 0.395, 1.581), 0.037062428958969364, 1.0233362183718418e-05, 793080),
+    (0.061, 0.351, (1.575, 0.515, -1.165), (-2.647, -0.208, 0.145), 0.04860223265767134, 1.8601775781322327e-05, 806275),
+    (0.665, 0.782, (1.349, 1.865, -1.305), (0.545, -2.754, -0.557), 0.01956171625860958, 4.3887036875576115e-06, 794320),
+    (0.424, 0.122, (-0.531, -0.241, -0.668), (2.698, -0.037, 2.574), 0.00810814715275619, 3.2059981929234536e-06, 838995),
+    (0.832, 0.438, (0.282, -2.351, -1.866), (-0.786, 0.698, 0.699), 0.17520701315918435, 0.0012670598215295814, 796570),
+    (0.652, 0.241, (0.318, -0.35, 0.94), (2.918, 2.087, 1.496), 0.0038269187811211234, 1.4768983045399538e-06, 850280),
+    (0.238, 0.49, (0.406, 0.33, -0.017), (0.974, -0.165, -0.428), 0.09298213319491197, 2.7968450538368176e-05, 782400),
+    (0.629, 0.165, (-0.381, 0.835, 0.305), (0.232, 0.434, -1.249), 0.06642446818496131, 7.205850862664889e-05, 829855),
+    (0.707, 0.79, (0.152, 0.092, 1.645), (-1.113, 0.119, 0.588), 0.10831932633272577, 0.00017353476327424137, 847070),
+    (0.3, 0.6, (0.0, 0.0, 1.3), (0.0, 0.0, 2.1), 0.07513159353708741, 0.00023624487966925184, 598185),
+    (0.5, 0.5, (0.0, 0.0, 1.0), (0.0, 0.0, 1.5), 0.1280006997972312, 0.00023321375031357014, 519776),
+    (0.2, 0.7, (0.0, 0.0, 0.8), (0.0, 0.0, -1.2), 0.13905750433388184, 8.048473284291774e-05, 707745),
+    (0.7, 0.35, (0.0, 0.0, 2.5), (0.0, 0.0, 0.6), 1.489360241385585, 0.005558909314944961, 687835),
+    (0.45, 0.55, (0.869, 0.6732, -0.0132), (1.501, 1.1628, -0.0228), 0.074787898710021, 9.805871365181419e-05, 624200),
+    (0.6, 0.25, (0.553, 0.4284, -0.0084), (-1.896, -1.4688, 0.0288), 0.02433498519099933, 1.6710547078299564e-05, 609020),
+)
+
+
+def test_total_average_matches_pinned_values(monkeypatch):
+    root_evals = []
+    refine = cubature._AzimuthalIntegrator._refine_roots
+
+    def counting(self, *args):
+        roots, n = refine(self, *args)
+        root_evals.append(n)
+        return roots, n
+
+    monkeypatch.setattr(cubature._AzimuthalIntegrator, "_refine_roots", counting)
+    for a, b, y, R, value, error, scan_and_panel in PINNED_TOTAL_AVERAGES:
+        root_evals.clear()
+        res = veff(InteractionDecomposition(a, b), np.array(y), np.array(R), which="total", rel_tol=0.05)
+        assert abs(res.value - value) <= res.error + error
+        assert res.n_evals - sum(root_evals) <= scan_and_panel
+
+
+def test_root_refinement_brackets_and_count():
+    # on circles of radius r in the e1-e2 plane, g = cos(phi) - (r - 2) has
+    # its roots at +-arccos(r - 2); the scan brackets both, and the Illinois
+    # steps close each bracket to the bisection width in far fewer than the
+    # 44 evaluations bisection takes
+    radii = np.array([1.03, 1.5, 2.0, 2.3, 2.8, 2.999])
+
+    def signed_and_weight(pts, rr):
+        return pts[..., 0] / rr - (rr - 2.0), np.ones_like(rr)
+
+    basis = (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+    inner = cubature._AzimuthalIntegrator(signed_and_weight, basis, [], inner_rel=1e-9)
+    phi = cubature._SCAN_PHI
+    g = np.cos(phi)[None, :] - (radii[:, None] - 2.0)
+    neg = g < 0.0
+    node, k = np.nonzero(neg != np.roll(neg, -1, axis=1))
+    assert len(node) == 2 * len(radii)
+    step = 2.0 * math.pi / len(phi)
+    r = radii[node]
+    roots, n_evals = inner._refine_roots(
+        r, np.ones_like(r), np.zeros_like(r), phi[k], phi[k] + step, g[node, k], g[node, (k + 1) % len(phi)]
+    )
+    half = np.arccos(r - 2.0)
+    want = np.where(k < len(phi) // 2, half, 2.0 * math.pi - half)
+    assert np.all(np.abs(roots - want) <= 1e-13)
+    assert np.all((roots >= phi[k]) & (roots <= phi[k] + step))
+    assert n_evals <= 10 * len(node)
 
 
 def test_unknown_selector_rejected():
