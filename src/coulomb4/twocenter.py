@@ -22,7 +22,7 @@ from scipy.special import erf
 
 from .cubature import negative_part_average
 from .ecg_solver import BasisConditionError, generalized_lowest
-from .effpot import InteractionDecomposition
+from .effpot import InteractionDecomposition, StabilityTrial
 
 __all__ = [
     "TwoCenterResult",
@@ -141,14 +141,6 @@ class FloorCheckResult:
     samples: tuple[FloorSample, ...]
 
 
-def _trial_kinetic(kind: str, scale: float, mu_r: float) -> float:
-    if kind == "gaussian":
-        return 3.0 / (4.0 * mu_r * scale * scale)
-    if kind == "exponential":
-        return 1.0 / (2.0 * mu_r * scale * scale)
-    raise ValueError(f"unknown trial kind {kind!r}")
-
-
 def _attractive_average(
     decomp: InteractionDecomposition,
     x: np.ndarray,
@@ -205,7 +197,8 @@ def _floor_quotient(
     center: np.ndarray,
     rel_tol: float,
 ):
-    kinetic = _trial_kinetic(kind, scale, mu_r)
+    # the kinetic quotient does not depend on where the trial is centred
+    kinetic = StabilityTrial(kind, 0.0, scale).kinetic_quotient(mu_r)
     if coupling == 0.0:
         return kinetic, 0.0
     value, err = _attractive_average(decomp, x, y, kind, scale, center, rel_tol)

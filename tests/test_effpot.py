@@ -2,10 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from coulomb4 import cubature
+from coulomb4 import cubature, effpot
 from coulomb4.cubature import QuadratureError
 from coulomb4.effpot import (
     GroundPairDensity,
@@ -283,6 +284,93 @@ def test_total_average_budget_exhaustion():
     assert math.isfinite(exc.value.value)
 
 
+# -- split groups: closed pieces and the fixed Gauss-Kronrod rule -------------------
+
+
+def test_gauss_kronrod_rule_degrees():
+    # Kronrod 15 is exact through degree 23, its Gauss 7 subset through 13
+    for deg in range(24):
+        exact = (1.0 - (-1.0) ** (deg + 1)) / (deg + 1)
+        assert effpot._GK_W @ effpot._GK_X ** deg == pytest.approx(exact, abs=1e-15)
+        if deg < 14:
+            assert effpot._G7_W @ effpot._GK_X ** deg == pytest.approx(exact, abs=1e-15)
+    assert abs(effpot._G7_W @ effpot._GK_X ** 14 - 2.0 / 15.0) > 1e-6
+
+
+def _split_reference(c, a):
+    """V1(c, a) at 30 digits from the angular closed form with both square
+    roots and the clipped cap (not the form the library integrates), split
+    at c/a, c/(1-a), the cap edge 2c/|1-2a| and at c 2^j below r = 1."""
+    with mpmath.workdps(30):
+        c, a = mpmath.mpf(c), mpmath.mpf(a)
+
+        def integrand(r):
+            mu_bar = r * (1 - 2 * a) / (2 * c)
+            if r == 0 or mu_bar <= -1:
+                return mpmath.mpf(0)
+            mu = min(mu_bar, mpmath.mpf(1))
+            s1 = mpmath.sqrt(c * c + (a * r) ** 2 + 2 * a * c * r * mu) - abs(c - a * r)
+            s2 = c + (1 - a) * r - mpmath.sqrt(c * c + ((1 - a) * r) ** 2 - 2 * (1 - a) * c * r * mu)
+            return 16 * r * r * mpmath.exp(-4 * r) * (s1 / (a * c * r) - s2 / ((1 - a) * c * r))
+
+        r_max = min(max(14, c / a + 4, c / (1 - a) + 4), 60)
+        breaks = {c / a, c / (1 - a), 1, 2, 4, 8}
+        if a != mpmath.mpf(0.5):
+            breaks.add(2 * c / abs(1 - 2 * a))
+        breaks |= {c * 2 ** j for j in range(60) if c * 2 ** j < 1}
+        edges = [0] + sorted(p for p in breaks if 0 < p < r_max) + [r_max]
+        value, error = mpmath.quad(integrand, edges, error=True)
+        assert error < mpmath.mpf(10) ** -25 * value
+        return float(value)
+
+
+SPLIT_A = (0.5, 0.5 + 1e-13, 0.5 - 1e-13, 0.3, 0.7, 0.001, 0.999)
+SPLIT_C = (1e-5, 1e-4, 3e-4, 0.01, 0.3, 1.0, 5.0, 60.0)
+
+
+@pytest.fixture(scope="module")
+def split_reference():
+    return {(a, c): _split_reference(c, a) for a in SPLIT_A for c in SPLIT_C}
+
+
+def test_split_values_match_mpmath_reference(split_reference):
+    for a in SPLIT_A:
+        values, _ = effpot._split_values(np.array(SPLIT_C), a)
+        for c, value in zip(SPLIT_C, values):
+            want = split_reference[(a, c)]
+            assert abs(value - want) <= 1e-11 * want, (a, c, value, want)
+    # below c = 1e-12 the c -> 0 limit 2 (1/a - 1/(1-a))^+ is used
+    for a in SPLIT_A:
+        values, errors = effpot._split_values(np.array([0.0, 5e-13]), a)
+        gap = 1.0 / a - 1.0 / (1.0 - a)
+        assert values.tolist() == [max(2.0 * gap, 0.0)] * 2
+        assert errors.tolist() == [0.0, 0.0]
+
+
+def test_split_errors_bound_measured_errors(split_reference):
+    for a in SPLIT_A:
+        values, errors = effpot._split_values(np.array(SPLIT_C), a)
+        for c, value, error in zip(SPLIT_C, values, errors):
+            want = split_reference[(a, c)]
+            assert abs(value - want) <= error + 1e-13 * want, (a, c, value, want, error)
+            assert error <= 1e-8 * want
+
+
+def test_split_values_are_batch_independent():
+    # a batch is evaluated in fixed-size chunks; each offset's value must
+    # not depend on which others share its call
+    rng = np.random.default_rng(15)
+    c = 10.0 ** rng.uniform(-6.0, 2.0, size=3 * effpot._SPLIT_CHUNK + 5)
+    c[::7] = 0.0
+    for a in (0.2, 0.5, 0.85):
+        values, errors = effpot._split_values(c, a)
+        for k in rng.choice(len(c), size=8, replace=False):
+            (one,), (err,) = effpot._split_values(c[k:k + 1], a)
+            assert one == pytest.approx(values[k], rel=1e-14, abs=0.0)
+            # |Kronrod - Gauss| is rounding noise once the rules agree
+            assert err == pytest.approx(errors[k], rel=1e-12, abs=1e-15 * values[k])
+
+
 # -- envelopes -------------------------------------------------------------------
 
 
@@ -382,6 +470,33 @@ def test_quotients_nonnegative_below_critical_mass():
     assert len(quotients) == 100
     worst = min(q.quotient for q in quotients)
     assert worst >= -1e-6, worst
+
+
+# stability_functional_check(..., potential="split") before the split groups
+# were batched, when each node made two scipy quad calls:
+# ((a, b), y, (kind, offset, scale), potential), all at mu_R = 0.05
+PINNED_SPLIT_POTENTIALS = (
+    ((0.5, 0.5), (0.0, 0.0, 1.0), ("gaussian", 0.0, 0.5), 0.7592394345815894),
+    ((0.5, 0.5), (0.0, 0.0, 1.0), ("exponential", 0.0, 0.5), 0.6099335269634065),
+    ((0.5, 0.5), (0.0, 0.0, 1.0), ("gaussian", 1.0, 5.0), 0.01610782354200563),
+    ((0.5, 0.5), (0.0, 0.0, 1.0), ("exponential", 3.0, 5.0), 0.015687885975993857),
+    ((0.5, 0.5), (0.0, 0.0, 1.0), ("gaussian", 10.0, 50.0), 0.00015801950977761755),
+    ((0.5, 0.5), (0.0, 0.0, 1.0), ("exponential", 10.0, 500.0), 8.485178315963432e-07),
+    ((0.5, 0.5), (0.0, 0.0, 1.0), ("gaussian", 0.3, 500.0), 1.4524281949852273e-06),
+    ((0.5, 0.5), (0.0, 0.0, 1.0), ("exponential", 10.0, 1.0), 0.003832187873798453),
+    ((0.3, 0.6), (0.2, -0.4, 1.1), ("gaussian", 0.0, 2.5), 0.06417378787059512),
+    ((0.3, 0.6), (0.2, -0.4, 1.1), ("exponential", 3.0, 0.5), 0.05350690525322934),
+    ((0.8, 0.35), (0.0, 0.7, -0.3), ("gaussian", 10.0, 15.0), 0.005734019433553815),
+    ((0.8, 0.35), (0.0, 0.7, -0.3), ("exponential", 0.0, 50.0), 8.481133271377253e-05),
+)
+
+
+def test_split_potentials_match_pinned_values():
+    for (a, b), y, (kind, offset, scale), potential in PINNED_SPLIT_POTENTIALS:
+        (q,) = stability_functional_check(
+            InteractionDecomposition(a, b), 0.05, np.array(y), [StabilityTrial(kind, offset, scale)]
+        )
+        assert q.potential == pytest.approx(potential, rel=1e-8, abs=0.0)
 
 
 def test_quotients_recorded_above_critical_mass():

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from coulomb4 import twocenter
+from coulomb4.effpot import InteractionDecomposition
 from coulomb4.ecg_solver import BasisConditionError
 from coulomb4.twocenter import (
     FloorCheckResult,
@@ -98,6 +100,21 @@ def test_floor_without_attraction():
     assert res.floor == 0.0
     assert res.minimum >= 0.0
     assert res.passed
+
+
+def test_floor_kinetic_quotients_are_closed_forms():
+    # without attraction each quotient is the trial's kinetic quotient:
+    # 3 / (4 mu s^2) for a Gaussian, 1 / (2 mu s^2) for an exponential
+    res = floor_check(0.0, 0.1, samples=10)
+    assert {s.trial_kind for s in res.samples} == {"gaussian", "exponential"}
+    for s in res.samples:
+        scale = s.trial_scale
+        want = 3.0 / (4.0 * 0.1 * scale * scale) if s.trial_kind == "gaussian" else 1.0 / (2.0 * 0.1 * scale * scale)
+        assert s.quotient == want
+    with pytest.raises(ValueError):
+        twocenter._floor_quotient(
+            InteractionDecomposition(0.5, 0.5), np.ones(3), np.ones(3), 1.0, 0.1, "lorentzian", 1.0, np.zeros(3), 1e-3
+        )
 
 
 def test_floor_holds_under_random_audit():
